@@ -1,7 +1,6 @@
 #include "core/navigation_tree.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/trace.h"
 
@@ -20,70 +19,72 @@ NavigationTree::NavigationTree(const ConceptHierarchy& hierarchy,
 
   // Initial navigation tree: attach each result citation to the concepts it
   // is associated with. Only concepts that receive at least one citation
-  // survive the maximum embedding, so we materialize bitsets per touched
-  // concept only.
-  std::unordered_map<ConceptId, DynamicBitset> attached;
+  // survive the maximum embedding, so the build works from the touched
+  // (concept, result index) pairs alone, sorted into hierarchy pre-order.
+  struct Touch {
+    int rank;
+    ConceptId concept_id;
+    uint32_t index;
+  };
+  std::vector<Touch> touches;
   for (size_t i = 0; i < result_->size(); ++i) {
-    CitationId cid = result_->citation(i);
-    for (ConceptId c : associations.ConceptsOf(cid)) {
-      auto [it, inserted] = attached.try_emplace(c, result_->MakeBitset());
-      (void)inserted;
-      it->second.Set(i);
+    for (ConceptId c : associations.ConceptsOf(result_->citation(i))) {
+      touches.push_back(
+          {hierarchy.pre_order_rank(c), c, static_cast<uint32_t>(i)});
     }
   }
-  // The hierarchy root is kept regardless (Definition 2 excludes it from
-  // the non-empty requirement to avoid creating a forest) but citations
-  // associated directly with the root, if any, are honored.
-  concept_to_node_.assign(hierarchy.size(), kInvalidNavNode);
+  std::sort(touches.begin(), touches.end(),
+            [](const Touch& a, const Touch& b) { return a.rank < b.rank; });
 
-  // Maximum embedding via a single pre-order sweep over the hierarchy:
-  // every kept node's parent is its nearest kept ancestor. This is exactly
-  // the result of recursively splicing out empty nodes.
-  struct StackEntry {
-    ConceptId concept_id;
-    NavNodeId node;
-  };
-  std::vector<StackEntry> stack;
-
+  // Maximum embedding via one sweep over the touched concepts in
+  // pre-order: every kept node's parent is its nearest kept ancestor, the
+  // top of the open-ancestor stack. This is exactly the result of
+  // recursively splicing out empty nodes. The hierarchy root is kept
+  // regardless (Definition 2 excludes it from the non-empty requirement to
+  // avoid creating a forest) but citations associated directly with the
+  // root, if any, are honored: rank 0 sorts first and lands on node 0.
   auto add_node = [&](ConceptId c, NavNodeId parent) {
     NavNodeId id = static_cast<NavNodeId>(nodes_.size());
     NavNode node;
     node.concept_id = c;
     node.parent = parent;
-    auto it = attached.find(c);
-    if (it != attached.end()) {
-      node.results = std::move(it->second);
-    } else {
-      node.results = result_->MakeBitset();
-    }
-    node.attached_count = static_cast<int>(node.results.Count());
+    node.results = result_->MakeBitset();
     node.global_count = associations.GlobalCount(c);
     nodes_.push_back(std::move(node));
     if (parent != kInvalidNavNode) {
       nodes_[static_cast<size_t>(parent)].children.push_back(id);
     }
-    concept_to_node_[static_cast<size_t>(c)] = id;
     return id;
   };
-
-  NavNodeId root = add_node(ConceptHierarchy::kRoot, kInvalidNavNode);
-  BIONAV_CHECK_EQ(root, kRoot);
-  stack.push_back({ConceptHierarchy::kRoot, root});
-
-  hierarchy.PreOrder([&](ConceptId c) {
-    if (c == ConceptHierarchy::kRoot) return;
-    auto it = attached.find(c);
-    if (it == attached.end() || !it->second.Any()) return;
-    while (!stack.empty() &&
-           !hierarchy.IsAncestorOrSelf(stack.back().concept_id, c)) {
-      stack.pop_back();
+  struct StackEntry {
+    ConceptId concept_id;
+    NavNodeId node;
+  };
+  std::vector<StackEntry> stack;
+  stack.push_back({ConceptHierarchy::kRoot,
+                   add_node(ConceptHierarchy::kRoot, kInvalidNavNode)});
+  for (size_t t = 0; t < touches.size();) {
+    ConceptId c = touches[t].concept_id;
+    NavNodeId id = kRoot;
+    if (c != ConceptHierarchy::kRoot) {
+      while (!hierarchy.IsAncestorOrSelf(stack.back().concept_id, c)) {
+        stack.pop_back();
+      }
+      id = add_node(c, stack.back().node);
+      stack.push_back({c, id});
     }
-    BIONAV_CHECK(!stack.empty());
-    NavNodeId id = add_node(c, stack.back().node);
-    stack.push_back({c, id});
-  });
+    NavNode& node = nodes_[static_cast<size_t>(id)];
+    for (; t < touches.size() && touches[t].concept_id == c; ++t) {
+      node.results.Set(touches[t].index);
+    }
+    node.attached_count = static_cast<int>(node.results.Count());
+  }
 
-  // Pre-order subtree intervals: nodes are created in pre-order, so each
+  BuildIntervals();
+}
+
+void NavigationTree::BuildIntervals() {
+  // Pre-order subtree intervals: nodes are stored in pre-order, so each
   // node's interval end is the max over its descendants, computed by one
   // reverse sweep.
   subtree_end_.resize(nodes_.size());
@@ -136,7 +137,7 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
   // construction invariants below are enforced with CHECKs elsewhere in
   // this class, so anything not verified here could turn wire corruption
   // into a crash instead of a typed decode error.
-  std::vector<bool> concept_seen(hierarchy.size(), false);
+  int prev_rank = -1;
   // A valid pre-order layout means each node's parent is on the ancestor
   // path of the previous node (the "open" chain of unfinished subtrees).
   std::vector<NavNodeId> open;
@@ -148,10 +149,14 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
       return bad("names concept " + std::to_string(rec.concept_id) +
                  " outside the hierarchy");
     }
-    if (concept_seen[static_cast<size_t>(rec.concept_id)]) {
-      return bad("repeats concept " + std::to_string(rec.concept_id));
+    // Strictly increasing hierarchy pre-order ranks: concepts are unique
+    // and NodeOfConcept's rank search holds.
+    int rank = hierarchy.pre_order_rank(rec.concept_id);
+    if (rank <= prev_rank) {
+      return bad("is out of hierarchy pre-order at concept " +
+                 std::to_string(rec.concept_id));
     }
-    concept_seen[static_cast<size_t>(rec.concept_id)] = true;
+    prev_rank = rank;
     if (rec.global_count < 0) return bad("has a negative global count");
     uint32_t prev = 0;
     for (size_t k = 0; k < rec.result_indexes.size(); ++k) {
@@ -190,7 +195,6 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
   std::shared_ptr<NavigationTree> tree(
       new NavigationTree(&hierarchy, std::move(result)));
   tree->nodes_.reserve(serialized.size());
-  tree->concept_to_node_.assign(hierarchy.size(), kInvalidNavNode);
   for (size_t i = 0; i < serialized.size(); ++i) {
     const SerializedNavNode& rec = serialized[i];
     NavNode node;
@@ -205,27 +209,8 @@ Result<std::shared_ptr<NavigationTree>> NavigationTree::FromSerializedNodes(
       tree->nodes_[static_cast<size_t>(rec.parent)].children.push_back(
           static_cast<NavNodeId>(i));
     }
-    tree->concept_to_node_[static_cast<size_t>(rec.concept_id)] =
-        static_cast<NavNodeId>(i);
   }
-  // Derived tables, exactly as the associating constructor computes them.
-  tree->subtree_end_.resize(tree->nodes_.size());
-  for (size_t i = 0; i < tree->nodes_.size(); ++i) {
-    tree->subtree_end_[i] = static_cast<NavNodeId>(i + 1);
-  }
-  for (size_t i = tree->nodes_.size(); i-- > 1;) {
-    size_t p = static_cast<size_t>(tree->nodes_[i].parent);
-    tree->subtree_end_[p] = std::max(tree->subtree_end_[p],
-                                     tree->subtree_end_[i]);
-  }
-  tree->attached_prefix_.resize(tree->nodes_.size() + 1);
-  tree->attached_prefix_[0] = 0;
-  for (size_t i = 0; i < tree->nodes_.size(); ++i) {
-    tree->attached_prefix_[i + 1] =
-        tree->attached_prefix_[i] + tree->nodes_[i].attached_count;
-  }
-  tree->subtree_results_.resize(tree->nodes_.size());
-  tree->subtree_distinct_.assign(tree->nodes_.size(), -1);
+  tree->BuildIntervals();
   // Shared across sessions by definition (it crossed a shard boundary), so
   // always freeze — this also runs the SoA==lazy cross-validation over the
   // freshly rebuilt layout.
@@ -242,9 +227,24 @@ int NavigationTree::NodeDepth(NavNodeId id) const {
 }
 
 NavNodeId NavigationTree::NodeOfConcept(ConceptId concept_id) const {
-  BIONAV_CHECK_GE(concept_id, 0);
-  BIONAV_CHECK_LT(static_cast<size_t>(concept_id), concept_to_node_.size());
-  return concept_to_node_[static_cast<size_t>(concept_id)];
+  // Nodes are stored in hierarchy pre-order, so their concepts' pre-order
+  // ranks ascend with the node id: binary-search by rank.
+  const int rank = hierarchy_->pre_order_rank(concept_id);
+  NavNodeId lo = 0;
+  NavNodeId hi = static_cast<NavNodeId>(nodes_.size());
+  while (lo < hi) {
+    NavNodeId mid = lo + (hi - lo) / 2;
+    if (hierarchy_->pre_order_rank(concept_of(mid)) < rank) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == static_cast<NavNodeId>(nodes_.size()) ||
+      concept_of(lo) != concept_id) {
+    return kInvalidNavNode;
+  }
+  return lo;
 }
 
 DynamicBitset NavigationTree::SubtreeResults(NavNodeId id) const {
@@ -342,7 +342,6 @@ size_t NavigationTree::MemoryFootprint() const {
              n.results.MemoryBytes();
   }
   bytes += (nodes_.capacity() - nodes_.size()) * sizeof(NavNode);
-  bytes += concept_to_node_.capacity() * sizeof(NavNodeId);
   bytes += subtree_end_.capacity() * sizeof(NavNodeId);
   bytes += attached_prefix_.capacity() * sizeof(int64_t);
   bytes += subtree_distinct_.capacity() * sizeof(int);

@@ -63,8 +63,9 @@ class NavigationTree {
   /// Reconstructs a tree from pre-order node records captured on another
   /// shard (the FETCH_ARTIFACT path). The records are untrusted: every
   /// structural invariant (root first, parents preceding children in a
-  /// valid pre-order nesting, concepts unique and inside the hierarchy,
-  /// result indexes ascending and inside the result set) is validated
+  /// valid pre-order nesting, concepts inside the hierarchy and in strictly
+  /// ascending hierarchy pre-order, result indexes ascending and inside the
+  /// result set) is validated
   /// BEFORE any internal table is built, so arbitrary bytes yield a typed
   /// kDataLoss instead of tripping a CHECK. The returned tree is Freeze()d
   /// — byte-identical SoA layout and subtree caches to a locally built,
@@ -154,7 +155,9 @@ class NavigationTree {
   std::shared_ptr<const ResultSet> result_ptr() const { return result_; }
 
   /// Navigation-tree node of a concept, or kInvalidNavNode if the concept
-  /// has no attached citations (was embedded away).
+  /// has no attached citations (was embedded away). Nodes are stored in
+  /// hierarchy pre-order, so this is a binary search by pre-order rank:
+  /// O(log size()), with no per-concept index.
   NavNodeId NodeOfConcept(ConceptId concept_id) const;
 
   /// Distinct citations attached anywhere in the subtree rooted at `id`
@@ -182,9 +185,9 @@ class NavigationTree {
   bool frozen() const { return frozen_; }
 
   /// Heap bytes held by the tree: nodes (children lists, attached-citation
-  /// bitsets), the concept index, pre-order intervals, prefix sums and
-  /// whatever portion of the subtree caches is materialized. Feeds the
-  /// QueryArtifactCache byte budget.
+  /// bitsets), pre-order intervals, prefix sums and whatever portion of the
+  /// subtree caches is materialized. Feeds the QueryArtifactCache byte
+  /// budget.
   size_t MemoryFootprint() const;
 
   /// |SubtreeResultsCached(id)|, cached alongside the set.
@@ -240,6 +243,10 @@ class NavigationTree {
     return static_cast<size_t>(id);
   }
 
+  /// Derives the subtree intervals and attached-count prefix sums from the
+  /// pre-order node store and sizes the lazy subtree caches.
+  void BuildIntervals();
+
   /// Builds the SoA columns from the pointer tree and cross-checks the two
   /// layouts (pre-order arithmetic vs child vectors) — Freeze()-time part
   /// of the SoA==lazy equivalence contract.
@@ -248,9 +255,8 @@ class NavigationTree {
   const ConceptHierarchy* hierarchy_;
   std::shared_ptr<const ResultSet> result_;
   std::vector<NavNode> nodes_;
-  std::vector<NavNodeId> concept_to_node_;  // Indexed by ConceptId.
-  std::vector<NavNodeId> subtree_end_;      // Pre-order interval ends.
-  std::vector<int64_t> attached_prefix_;    // Size nodes+1.
+  std::vector<NavNodeId> subtree_end_;    // Pre-order interval ends.
+  std::vector<int64_t> attached_prefix_;  // Size nodes+1.
   // Lazy subtree-results cache (unsynchronized until Freeze()).
   mutable std::vector<DynamicBitset> subtree_results_;
   mutable std::vector<int> subtree_distinct_;  // -1 = not yet computed.

@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "hierarchy/tree_number.h"
@@ -24,9 +23,11 @@ inline constexpr ConceptId kInvalidConcept = -1;
 /// categories.
 ///
 /// Usage: add nodes with AddNode (parent must already exist), then call
-/// Freeze() once. Freeze computes depths, Euler-tour intervals (for O(1)
-/// ancestor tests) and canonical MeSH-style tree numbers, and seals the
-/// structure. All query methods require a frozen hierarchy.
+/// Freeze() once. Freeze computes depths and Euler-tour intervals (pre-order
+/// ranks, for O(1) ancestor tests) and seals the structure. Canonical
+/// MeSH-style tree numbers are not stored: they are derived on demand from
+/// the parent chain and child ordinals. All query methods require a frozen
+/// hierarchy.
 class ConceptHierarchy {
  public:
   ConceptHierarchy();
@@ -41,14 +42,14 @@ class ConceptHierarchy {
 
   /// Adds a concept under `parent` and returns its id. The hierarchy must
   /// not be frozen. Labels need not be unique globally, but lookups by label
-  /// return the first node added with that label.
+  /// return the lowest id carrying that label.
   ConceptId AddNode(ConceptId parent, std::string label);
 
-  /// Seals the tree: computes depth, pre/post order, and tree numbers.
+  /// Seals the tree: computes depth and pre/post order.
   void Freeze();
 
   /// Replaces a node's display label (allowed after Freeze — labels carry
-  /// no structural meaning). Label lookups are updated.
+  /// no structural meaning). Label lookups see the new label at once.
   void RenameNode(ConceptId id, std::string label);
 
   bool frozen() const { return frozen_; }
@@ -65,18 +66,32 @@ class ConceptHierarchy {
   /// Depth of the node; the root has depth 0. Requires frozen().
   int depth(ConceptId id) const;
 
-  /// Canonical tree number assigned at Freeze(). The root's is empty.
-  const TreeNumber& tree_number(ConceptId id) const;
+  /// Canonical tree number, derived in O(depth) from the parent chain and
+  /// each node's 1-based ordinal among its siblings. Components are
+  /// 3-digit ordinals; a child of the root gets a category letter cycling
+  /// A.. plus the last two digits, as in MeSH ("A01", "B02.003"). The
+  /// root's is empty. Requires frozen().
+  TreeNumber tree_number(ConceptId id) const;
+
+  /// Position of the node in pre-order: the root is 0 and every subtree
+  /// occupies a contiguous rank range. Requires frozen().
+  int pre_order_rank(ConceptId id) const {
+    BIONAV_CHECK(frozen_);
+    return pre_[static_cast<size_t>(CheckId(id))];
+  }
 
   /// True iff `a` is an ancestor of `b` or a == b. Requires frozen(). O(1).
   bool IsAncestorOrSelf(ConceptId a, ConceptId b) const;
 
-  /// First node with the given label, or kInvalidConcept.
+  /// Lowest-id node with the given label, or kInvalidConcept. A linear
+  /// scan: no serving path looks concepts up by label, so the hierarchy
+  /// keeps no label index.
   ConceptId FindByLabel(std::string_view label) const;
 
-  /// Node with the given tree-number string, or kInvalidConcept.
-  /// Requires frozen().
-  ConceptId FindByTreeNumber(const std::string& tree_number) const;
+  /// Node whose canonical tree number is `tree_number`, or kInvalidConcept
+  /// (malformed text, non-canonical spelling, or an ordinal past the last
+  /// child). Walks children by ordinal, so O(depth). Requires frozen().
+  ConceptId FindByTreeNumber(std::string_view tree_number) const;
 
   /// Maximum node depth. Requires frozen().
   int height() const { return height_; }
@@ -103,6 +118,15 @@ class ConceptHierarchy {
     return id;
   }
 
+  /// 1-based position of `id` among its parent's children. Child lists are
+  /// ascending in id (AddNode appends fresh ids), so this is a binary
+  /// search. `id` must not be the root.
+  size_t ChildOrdinal(ConceptId id) const;
+
+  /// Follows the ".ddd" components of `suffix` down from `node`; returns
+  /// kInvalidConcept unless each one is a canonical, in-range ordinal.
+  ConceptId WalkTreeNumber(ConceptId node, std::string_view suffix) const;
+
   bool frozen_ = false;
   std::vector<std::string> labels_;
   std::vector<ConceptId> parents_;
@@ -112,11 +136,8 @@ class ConceptHierarchy {
   std::vector<int> depths_;
   std::vector<int> pre_;        // Pre-order entry index.
   std::vector<int> post_;       // Pre-order exit index (subtree interval end).
-  std::vector<TreeNumber> tree_numbers_;
   std::vector<int> level_widths_;
   int height_ = 0;
-  std::unordered_map<std::string, ConceptId> by_label_;
-  std::unordered_map<std::string, ConceptId> by_tree_number_;
 };
 
 }  // namespace bionav

@@ -27,6 +27,14 @@ class TreeNumber {
   /// Builds the root tree number (empty path).
   static TreeNumber Root() { return TreeNumber(); }
 
+  /// Wraps components that are already well formed (as Parse would accept
+  /// them), root first, without re-validating.
+  static TreeNumber FromComponents(std::vector<std::string> components) {
+    TreeNumber tn;
+    tn.components_ = std::move(components);
+    return tn;
+  }
+
   /// Returns a child tree number by appending one component.
   TreeNumber Child(std::string_view component) const;
 

@@ -12,16 +12,23 @@ void AssociationTable::Associate(CitationId citation, ConceptId concept_id,
   BIONAV_CHECK_GE(citation, 0);
   BIONAV_CHECK_GE(concept_id, 0);
   BIONAV_CHECK_LT(static_cast<size_t>(concept_id), global_counts_.size());
-  if (static_cast<size_t>(citation) >= by_citation_.size()) {
-    by_citation_.resize(static_cast<size_t>(citation) + 1);
-    concept_view_.resize(by_citation_.size());
+  const size_t c = static_cast<size_t>(citation);
+  if (c >= concepts_.size()) {
+    concepts_.resize(c + 1);
+    indexed_bits_.resize(c + 1, 0);
   }
-  auto& entries = by_citation_[static_cast<size_t>(citation)];
-  for (const Entry& e : entries) {
-    if (e.concept_id == concept_id) return;  // Duplicate pair: ignore.
+  std::vector<ConceptId>& concepts = concepts_[c];
+  if (std::find(concepts.begin(), concepts.end(), concept_id) !=
+      concepts.end()) {
+    return;  // Duplicate pair: ignore.
   }
-  entries.push_back({concept_id, kind});
-  concept_view_[static_cast<size_t>(citation)].push_back(concept_id);
+  const size_t pair = concepts.size();
+  concepts.push_back(concept_id);
+  if (pair >= kMaskedPairs) {
+    overflow_kinds_[citation].push_back(kind);
+  } else if (kind == AssociationKind::kIndexed) {
+    indexed_bits_[c] |= uint64_t{1} << pair;
+  }
   global_counts_[static_cast<size_t>(concept_id)]++;
   total_pairs_++;
 }
@@ -30,19 +37,29 @@ const std::vector<ConceptId>& AssociationTable::ConceptsOf(
     CitationId citation) const {
   BIONAV_CHECK_GE(citation, 0);
   static const std::vector<ConceptId> kEmpty;
-  if (static_cast<size_t>(citation) >= by_citation_.size()) return kEmpty;
-  return concept_view_[static_cast<size_t>(citation)];
+  if (static_cast<size_t>(citation) >= concepts_.size()) return kEmpty;
+  return concepts_[static_cast<size_t>(citation)];
 }
 
 std::vector<ConceptId> AssociationTable::ConceptsOf(
     CitationId citation, AssociationKind kind) const {
   BIONAV_CHECK_GE(citation, 0);
   std::vector<ConceptId> out;
-  if (static_cast<size_t>(citation) >= by_citation_.size()) return out;
-  for (const Entry& e : by_citation_[static_cast<size_t>(citation)]) {
-    if (e.kind == kind) out.push_back(e.concept_id);
+  const size_t c = static_cast<size_t>(citation);
+  if (c >= concepts_.size()) return out;
+  for (size_t i = 0; i < concepts_[c].size(); ++i) {
+    if (KindOf(c, i) == kind) out.push_back(concepts_[c][i]);
   }
   return out;
+}
+
+AssociationKind AssociationTable::KindOf(size_t citation, size_t pair) const {
+  if (pair >= kMaskedPairs) {
+    const auto& kinds = overflow_kinds_.at(static_cast<CitationId>(citation));
+    return kinds[pair - kMaskedPairs];
+  }
+  return (indexed_bits_[citation] >> pair) & 1 ? AssociationKind::kIndexed
+                                               : AssociationKind::kAnnotated;
 }
 
 }  // namespace bionav

@@ -2,6 +2,7 @@
 #define BIONAV_MEDLINE_ASSOCIATION_TABLE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "hierarchy/concept_hierarchy.h"
@@ -40,9 +41,9 @@ class AssociationTable {
   void Associate(CitationId citation, ConceptId concept_id,
                  AssociationKind kind);
 
-  /// Concepts associated with the citation (both kinds), unsorted. Pure
-  /// read (the view is maintained incrementally by Associate), so a frozen
-  /// table is safe to share read-only across parallel sessions.
+  /// Concepts associated with the citation (both kinds), in association
+  /// order. Pure read, so a table no longer being written is safe to share
+  /// read-only across parallel sessions.
   const std::vector<ConceptId>& ConceptsOf(CitationId citation) const;
 
   /// Concepts of a citation restricted to one association kind.
@@ -63,17 +64,19 @@ class AssociationTable {
   size_t num_concepts() const { return global_counts_.size(); }
 
  private:
-  struct Entry {
-    ConceptId concept_id;
-    AssociationKind kind;
-  };
+  static constexpr size_t kMaskedPairs = 64;
 
-  // citation -> entries; grown on demand.
-  std::vector<std::vector<Entry>> by_citation_;
-  // Concept-id view per citation, kept in sync by Associate. Previously a
-  // lazily rebuilt mutable cache, which made const ConceptsOf a hidden
-  // write — a data race once navigation trees build concurrently.
-  std::vector<std::vector<ConceptId>> concept_view_;
+  AssociationKind KindOf(size_t citation, size_t pair) const;
+
+  // citation -> concepts in association order, grown on demand: the view
+  // ConceptsOf serves.
+  std::vector<std::vector<ConceptId>> concepts_;
+  // citation -> kinds of its first 64 pairs, one bit each (set: kIndexed);
+  // kinds of later pairs go to overflow_kinds_. The synthetic corpora stay
+  // under 64 pairs per citation, so there a pair's kind costs one bit
+  // rather than a second copy of the pair.
+  std::vector<uint64_t> indexed_bits_;
+  std::unordered_map<CitationId, std::vector<AssociationKind>> overflow_kinds_;
   std::vector<int64_t> global_counts_;
   int64_t total_pairs_ = 0;
 };

@@ -141,30 +141,28 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
     return corpus.store.Add(std::move(c));
   };
 
-  // --- Per-query generation.
-  std::vector<ConceptId> nodes_by_depth_scratch;
+  // --- Per-query generation. Target candidates are the non-root nodes of
+  // each depth, in pre-order, collected in one pass for all queries.
+  std::vector<std::vector<ConceptId>> nodes_by_depth(
+      static_cast<size_t>(hierarchy.height()) + 1);
+  hierarchy.PreOrder([&](ConceptId id) {
+    if (id != ConceptHierarchy::kRoot) {
+      nodes_by_depth[static_cast<size_t>(hierarchy.depth(id))].push_back(id);
+    }
+  });
   for (const QuerySpec& spec : specs) {
     GeneratedQuery gq;
     gq.spec = spec;
 
     // Pick the target concept: a random node at the requested depth,
-    // falling back to shallower depths on small hierarchies.
-    int want_depth = spec.target_depth;
-    while (want_depth >= 1) {
-      nodes_by_depth_scratch.clear();
-      hierarchy.PreOrder([&](ConceptId id) {
-        if (id != ConceptHierarchy::kRoot &&
-            hierarchy.depth(id) == want_depth) {
-          nodes_by_depth_scratch.push_back(id);
-        }
-      });
-      if (!nodes_by_depth_scratch.empty()) break;
-      --want_depth;
-    }
-    BIONAV_CHECK(!nodes_by_depth_scratch.empty())
+    // falling back to the deepest level on small hierarchies (every depth
+    // up to the height has nodes).
+    int want_depth = std::min(spec.target_depth, hierarchy.height());
+    BIONAV_CHECK_GE(want_depth, 1)
         << "no candidate target concepts for query " << spec.name;
-    gq.target =
-        nodes_by_depth_scratch[rng.Uniform(nodes_by_depth_scratch.size())];
+    const std::vector<ConceptId>& candidates =
+        nodes_by_depth[static_cast<size_t>(want_depth)];
+    gq.target = candidates[rng.Uniform(candidates.size())];
 
     // Themes: the first theme is an ancestor neighbourhood of the target so
     // the target's research line receives mass; the rest are independent

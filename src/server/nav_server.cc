@@ -291,14 +291,16 @@ void NavServer::OnAcceptable() {
     // server never builds an unbounded connection table.
     if (connections_open_.load(std::memory_order_acquire) >=
         options_.max_connections) {
-      SendLineBestEffort(fd, ErrorReply(WireError::kRetryLater,
-                                        "server at capacity, retry later"));
-      ::close(fd);
+      // Counted before the reply, so a client that has seen RETRY_LATER
+      // also sees the shed in STATS.
       connections_shed_.fetch_add(1, std::memory_order_relaxed);
       static Counter* shed = GlobalMetrics().GetCounter(
           "bionav_server_connections_shed_total",
           "Connections shed by admission control");
       shed->Increment();
+      SendLineBestEffort(fd, ErrorReply(WireError::kRetryLater,
+                                        "server at capacity, retry later"));
+      ::close(fd);
       continue;
     }
     AdmitConnection(fd);

@@ -293,9 +293,22 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
     std::string_view token, Status* status) {
   *status = Status::NotFound("unknown session '" + std::string(token) + "'");
   if (spill_ == nullptr) return nullptr;
+  // A concurrent touch may have restored the session since the caller
+  // looked: pin and share its entry (mu_ held).
+  auto adopt_live_locked = [&]() -> std::shared_ptr<Entry> {
+    auto live = sessions_.find(token);
+    if (live == sessions_.end()) return nullptr;
+    live->second->last_used_ms = NowMs();
+    ++live->second->inflight;
+    ++counters_.operations;
+    *status = Status::OK();
+    return live->second;
+  };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (spilled_tokens_.find(token) == spilled_tokens_.end()) return nullptr;
+    if (spilled_tokens_.find(token) == spilled_tokens_.end()) {
+      return adopt_live_locked();
+    }
   }
   const std::string token_str(token);
   const auto t0 = std::chrono::steady_clock::now();
@@ -339,11 +352,14 @@ std::shared_ptr<SessionManager::Entry> SessionManager::RestoreFromSpill(
   }
 
   if (restored == nullptr) {
-    // The parked record is unusable (corrupt, or the world changed under
-    // it). Drop it so the failure is not sticky, and surface a NotFound —
-    // the wire maps it to UNKNOWN_SESSION like any dead token.
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // The snapshot may have failed to read because a concurrent restore
+      // consumed it.
+      if (std::shared_ptr<Entry> live = adopt_live_locked()) return live;
+      // The parked record is unusable (corrupt, or the world changed under
+      // it). Drop it so the failure is not sticky, and surface a NotFound —
+      // the wire maps it to UNKNOWN_SESSION like any dead token.
       auto it = spilled_tokens_.find(token);
       if (it != spilled_tokens_.end()) {
         spilled_tokens_.erase(it);

@@ -148,5 +148,45 @@ TEST(ArtifactCodecTest, Base64RoundTripMatchesWireTransport) {
   EXPECT_EQ(decoded.ValueOrDie()->key, bundle->key);
 }
 
+/// Index i of the first pair of adjacent sibling leaves (i, i + 1) in the
+/// serialized tree, or 0 if there is none.
+size_t FirstSiblingLeafPair(const NavigationTree& nav) {
+  for (NavNodeId id = 1; id + 1 < static_cast<NavNodeId>(nav.size()); ++id) {
+    if (nav.SubtreeEnd(id) == id + 1 && nav.SubtreeEnd(id + 1) == id + 2 &&
+        nav.parent(id) == nav.parent(id + 1)) {
+      return static_cast<size_t>(id);
+    }
+  }
+  return 0;
+}
+
+TEST(ArtifactCodecTest, SerializedNodesOutOfHierarchyOrderAreDataLoss) {
+  auto bundle = BuildBundle();
+  const NavigationTree& nav = *bundle->nav;
+  const ConceptHierarchy& h = CodecWorkload().hierarchy();
+  size_t i = FirstSiblingLeafPair(nav);
+  ASSERT_GT(i, 0u) << "fixture tree has no adjacent sibling leaves";
+  const std::vector<SerializedNavNode> records = nav.ToSerializedNodes();
+  ASSERT_TRUE(
+      NavigationTree::FromSerializedNodes(h, bundle->result, records).ok());
+
+  // Swapped siblings: a well-nested tree whose concepts break pre-order.
+  std::vector<SerializedNavNode> swapped = records;
+  std::swap(swapped[i].concept_id, swapped[i + 1].concept_id);
+  std::swap(swapped[i].global_count, swapped[i + 1].global_count);
+  std::swap(swapped[i].result_indexes, swapped[i + 1].result_indexes);
+  auto decoded =
+      NavigationTree::FromSerializedNodes(h, bundle->result, swapped);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+
+  // A repeated concept.
+  std::vector<SerializedNavNode> repeated = records;
+  repeated[i + 1].concept_id = repeated[i].concept_id;
+  decoded = NavigationTree::FromSerializedNodes(h, bundle->result, repeated);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+}
+
 }  // namespace
 }  // namespace bionav

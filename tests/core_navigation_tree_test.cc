@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "test_support.h"
+#include "workload/workload.h"
 
 namespace bionav {
 namespace {
@@ -168,6 +169,243 @@ TEST_P(NavigationTreePropertyTest, InvariantsOnRandomInstances) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NavigationTreePropertyTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+// Brute-force reference for Definition 2: materialize the initial navigation
+// tree over the FULL hierarchy (every concept, its L(n)), then splice out
+// every empty non-root node bottom-up, handing its children to its parent
+// in place. The survivors, read in pre-order, are the maximum embedding.
+struct ReferenceNode {
+  ConceptId concept_id;
+  NavNodeId parent;
+  std::vector<uint32_t> results;
+  int64_t global_count;
+};
+
+std::vector<ReferenceNode> ReferenceEmbedding(
+    const ConceptHierarchy& hierarchy, const AssociationTable& associations,
+    const ResultSet& result) {
+  const size_t n = hierarchy.size();
+  std::vector<std::set<uint32_t>> attached(n);
+  for (size_t i = 0; i < result.size(); ++i) {
+    for (ConceptId c : associations.ConceptsOf(result.citation(i))) {
+      attached[static_cast<size_t>(c)].insert(static_cast<uint32_t>(i));
+    }
+  }
+  std::vector<std::vector<ConceptId>> children(n);
+  for (size_t c = 0; c < n; ++c) {
+    children[c] = hierarchy.children(static_cast<ConceptId>(c));
+  }
+  hierarchy.PostOrder([&](ConceptId u) {
+    std::vector<ConceptId> kept;
+    for (ConceptId c : children[static_cast<size_t>(u)]) {
+      if (attached[static_cast<size_t>(c)].empty()) {
+        for (ConceptId g : children[static_cast<size_t>(c)]) kept.push_back(g);
+      } else {
+        kept.push_back(c);
+      }
+    }
+    children[static_cast<size_t>(u)] = std::move(kept);
+  });
+  std::vector<ReferenceNode> out;
+  std::vector<std::pair<ConceptId, NavNodeId>> stack = {
+      {ConceptHierarchy::kRoot, kInvalidNavNode}};
+  while (!stack.empty()) {
+    auto [c, parent] = stack.back();
+    stack.pop_back();
+    const std::set<uint32_t>& l = attached[static_cast<size_t>(c)];
+    out.push_back({c, parent, std::vector<uint32_t>(l.begin(), l.end()),
+                   associations.GlobalCount(c)});
+    NavNodeId id = static_cast<NavNodeId>(out.size() - 1);
+    const std::vector<ConceptId>& ch = children[static_cast<size_t>(c)];
+    for (auto it = ch.rbegin(); it != ch.rend(); ++it) {
+      stack.push_back({*it, id});
+    }
+  }
+  return out;
+}
+
+void ExpectMatchesReference(const NavigationTree& nav,
+                            const std::vector<ReferenceNode>& reference) {
+  ASSERT_EQ(nav.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    NavNodeId id = static_cast<NavNodeId>(i);
+    const ReferenceNode& want = reference[i];
+    EXPECT_EQ(nav.concept_of(id), want.concept_id) << "node " << i;
+    EXPECT_EQ(nav.parent(id), want.parent) << "node " << i;
+    EXPECT_EQ(nav.global_count(id), want.global_count) << "node " << i;
+    std::vector<uint32_t> got;
+    for (size_t k : nav.results(id).ToIndexes()) {
+      got.push_back(static_cast<uint32_t>(k));
+    }
+    EXPECT_EQ(got, want.results) << "node " << i;
+    EXPECT_EQ(nav.attached_count(id), static_cast<int>(want.results.size()));
+  }
+}
+
+// A random hierarchy and a random corpus over it: citations carry random
+// concept sets, some include the root, some both a concept and one of its
+// ancestors. The result is a random subset of the citations.
+struct RandomEmbeddingCase {
+  ConceptHierarchy hierarchy;
+  AssociationTable associations{0};
+  std::shared_ptr<const ResultSet> result;
+
+  explicit RandomEmbeddingCase(uint64_t seed) {
+    Rng rng(seed);
+    HierarchyGeneratorOptions options;
+    options.seed = seed;
+    options.target_nodes = static_cast<int>(50 + rng.Uniform(600));
+    options.num_categories = static_cast<int>(1 + rng.Uniform(6));
+    options.top_branching = 3.0 + static_cast<double>(rng.Uniform(6));
+    hierarchy = GenerateMeshLikeHierarchy(options);
+    associations = AssociationTable(hierarchy.size());
+    const int citations = static_cast<int>(1 + rng.Uniform(120));
+    std::vector<CitationId> hits;
+    for (CitationId cid = 0; cid < citations; ++cid) {
+      int k = static_cast<int>(rng.Uniform(5));
+      for (int j = 0; j < k; ++j) {
+        ConceptId c = static_cast<ConceptId>(rng.Uniform(hierarchy.size()));
+        associations.Associate(cid, c, AssociationKind::kAnnotated);
+        if (rng.Bernoulli(0.3) && hierarchy.parent(c) != kInvalidConcept) {
+          associations.Associate(cid, hierarchy.parent(c),
+                                 AssociationKind::kIndexed);
+        }
+      }
+      if (rng.Bernoulli(0.05)) {
+        associations.Associate(cid, ConceptHierarchy::kRoot,
+                               AssociationKind::kAnnotated);
+      }
+      if (rng.Bernoulli(0.6)) hits.push_back(cid);
+    }
+    // Unsorted result order, as a ranked search could return it.
+    for (size_t i = hits.size(); i > 1; --i) {
+      std::swap(hits[i - 1], hits[rng.Uniform(i)]);
+    }
+    result = std::make_shared<const ResultSet>(hits);
+  }
+};
+
+class NavigationTreeReferenceTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(NavigationTreeReferenceTest, MatchesBruteForceMaximumEmbedding) {
+  RandomEmbeddingCase c(GetParam());
+  NavigationTree nav(c.hierarchy, c.associations, c.result);
+  ExpectMatchesReference(
+      nav, ReferenceEmbedding(c.hierarchy, c.associations, *c.result));
+}
+
+TEST_P(NavigationTreeReferenceTest, NodeOfConceptMatchesDenseMap) {
+  RandomEmbeddingCase c(GetParam());
+  NavigationTree nav(c.hierarchy, c.associations, c.result);
+  std::vector<NavNodeId> dense(c.hierarchy.size(), kInvalidNavNode);
+  for (NavNodeId id = 0; id < static_cast<NavNodeId>(nav.size()); ++id) {
+    dense[static_cast<size_t>(nav.concept_of(id))] = id;
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) nav.Freeze();
+    for (ConceptId k = 0; k < static_cast<ConceptId>(c.hierarchy.size());
+         ++k) {
+      EXPECT_EQ(nav.NodeOfConcept(k), dense[static_cast<size_t>(k)])
+          << "concept " << k << (nav.frozen() ? " (frozen)" : "");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NavigationTreeReferenceTest,
+                         ::testing::Range<uint64_t>(1, 41));
+
+TEST(NavigationTreeReference, RootAncestorAndDescendantCitations) {
+  // root -> a -> a1 -> a1x, root -> b. Citation 0 sits on the root and on
+  // a1x, citation 1 on both a and its descendant a1x, citation 2 on b only;
+  // a1 stays empty and is spliced out.
+  ConceptHierarchy h;
+  ConceptId a = h.AddNode(ConceptHierarchy::kRoot, "a");
+  ConceptId a1 = h.AddNode(a, "a1");
+  ConceptId a1x = h.AddNode(a1, "a1x");
+  ConceptId b = h.AddNode(ConceptHierarchy::kRoot, "b");
+  h.Freeze();
+  AssociationTable assoc(h.size());
+  assoc.Associate(0, ConceptHierarchy::kRoot, AssociationKind::kAnnotated);
+  assoc.Associate(0, a1x, AssociationKind::kAnnotated);
+  assoc.Associate(1, a, AssociationKind::kAnnotated);
+  assoc.Associate(1, a1x, AssociationKind::kIndexed);
+  assoc.Associate(2, b, AssociationKind::kAnnotated);
+  auto result = std::make_shared<const ResultSet>(
+      std::vector<CitationId>{2, 1, 0});
+  NavigationTree nav(h, assoc, result);
+  ExpectMatchesReference(nav, ReferenceEmbedding(h, assoc, *result));
+  ASSERT_EQ(nav.size(), 4u);
+  EXPECT_EQ(nav.attached_count(NavigationTree::kRoot), 1);
+  EXPECT_EQ(nav.NodeOfConcept(a1), kInvalidNavNode);
+  EXPECT_EQ(nav.parent(nav.NodeOfConcept(a1x)), nav.NodeOfConcept(a));
+
+  // The empty result keeps only the root.
+  auto empty = std::make_shared<const ResultSet>(std::vector<CitationId>{});
+  NavigationTree bare(h, assoc, empty);
+  ExpectMatchesReference(bare, ReferenceEmbedding(h, assoc, *empty));
+  EXPECT_EQ(bare.size(), 1u);
+  EXPECT_EQ(bare.NodeOfConcept(b), kInvalidNavNode);
+}
+
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+template <typename T>
+uint64_t Fnv1aValue(uint64_t h, T value) {
+  return Fnv1a(h, &value, sizeof(value));
+}
+
+/// FNV-1a over every serialized record's fields, in native byte order.
+uint64_t TreeFingerprint(const NavigationTree& nav) {
+  uint64_t h = 1469598103934665603ull;
+  for (const SerializedNavNode& rec : nav.ToSerializedNodes()) {
+    h = Fnv1aValue<int32_t>(h, rec.concept_id);
+    h = Fnv1aValue<int32_t>(h, rec.parent);
+    h = Fnv1aValue<int64_t>(h, rec.global_count);
+    h = Fnv1aValue<uint64_t>(h, rec.result_indexes.size());
+    for (uint32_t i : rec.result_indexes) h = Fnv1aValue<uint32_t>(h, i);
+  }
+  return h;
+}
+
+TEST(NavigationTreeGolden, PaperQueriesAtTestScale) {
+  // Targets and tree fingerprints of the ten paper queries on the
+  // 4000-concept workload, recorded from the full-hierarchy sweep this
+  // builder replaced: the corpus generator's target picks and every tree
+  // must stay bit-identical.
+  struct Golden {
+    ConceptId target;
+    size_t size;
+    uint64_t fingerprint;
+  };
+  const Golden kGolden[] = {
+      {462, 199, 0xa0aa4d77ed55a348ull},  {3362, 126, 0x44deb8b4f863e02cull},
+      {1719, 119, 0xe815faf25c66e1a6ull}, {1703, 169, 0x3b7b27c359d10008ull},
+      {1533, 266, 0x99d79c7f1769af94ull}, {3564, 321, 0xeec4749d42bb8bb6ull},
+      {256, 345, 0x7f16e1c6d58eec2aull},  {3782, 424, 0x16b79a6190624173ull},
+      {2132, 239, 0xc77ec576829ca155ull}, {826, 649, 0x67ef5f1a01ec887full},
+  };
+  WorkloadOptions options;
+  options.hierarchy_nodes = 4000;
+  options.background_citations = 3000;
+  options.result_scale = 0.25;
+  Workload w(options);
+  ASSERT_EQ(w.num_queries(), std::size(kGolden));
+  for (size_t i = 0; i < w.num_queries(); ++i) {
+    EXPECT_EQ(w.query(i).target, kGolden[i].target) << "query " << i;
+    auto nav = w.BuildNavigationTree(i);
+    EXPECT_EQ(nav->size(), kGolden[i].size) << "query " << i;
+    EXPECT_EQ(TreeFingerprint(*nav), kGolden[i].fingerprint)
+        << "query " << i;
+  }
+}
 
 }  // namespace
 }  // namespace bionav

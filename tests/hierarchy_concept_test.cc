@@ -153,6 +153,35 @@ TEST(ConceptHierarchy, RenameNodeUpdatesLookups) {
   EXPECT_EQ(h.FindByLabel("a2"), kInvalidConcept);
 }
 
+TEST(ConceptHierarchy, RenameKeepsSharedLabelFindable) {
+  // Nodes 1 and 2 are both "Cells": renaming node 1 must hand the label's
+  // lookup to node 2 instead of dropping it.
+  ConceptHierarchy h;
+  ConceptId first = h.AddNode(ConceptHierarchy::kRoot, "Cells");
+  ConceptId second = h.AddNode(ConceptHierarchy::kRoot, "Cells");
+  ConceptId third = h.AddNode(second, "Cells");
+  h.Freeze();
+  ASSERT_EQ(h.FindByLabel("Cells"), first);
+  h.RenameNode(first, "Neurons");
+  EXPECT_EQ(h.FindByLabel("Cells"), second);
+  EXPECT_EQ(h.FindByLabel("Neurons"), first);
+  h.RenameNode(second, "Glia");
+  EXPECT_EQ(h.FindByLabel("Cells"), third);
+  h.RenameNode(third, "Glia");
+  EXPECT_EQ(h.FindByLabel("Cells"), kInvalidConcept);
+  EXPECT_EQ(h.FindByLabel("Glia"), second);
+  // A lower id taking an existing label becomes its lookup target.
+  h.RenameNode(first, "Glia");
+  EXPECT_EQ(h.FindByLabel("Glia"), first);
+}
+
+TEST(ConceptHierarchy, PreOrderRankMatchesPreOrderVisit) {
+  ConceptHierarchy h = MakeSample();
+  int visit = 0;
+  h.PreOrder([&](ConceptId id) { EXPECT_EQ(h.pre_order_rank(id), visit++); });
+  EXPECT_EQ(visit, static_cast<int>(h.size()));
+}
+
 TEST(ConceptHierarchyDeath, AddAfterFreezeAborts) {
   ConceptHierarchy h = MakeSample();
   EXPECT_DEATH(h.AddNode(ConceptHierarchy::kRoot, "late"), "frozen");

@@ -76,6 +76,25 @@ TEST(AssociationTable, SparseCitationIdsGrowTable) {
   EXPECT_TRUE(t.ConceptsOf(500).empty());
 }
 
+TEST(AssociationTable, KindsOfLongAnnotationListsSurvive) {
+  // Past 64 pairs a citation's kinds leave the per-citation bit mask;
+  // both stores must answer in association order.
+  AssociationTable t(200);
+  std::vector<ConceptId> annotated, indexed;
+  for (ConceptId c = 0; c < 150; ++c) {
+    bool is_indexed = c % 3 == 0 || (c > 60 && c < 70);
+    t.Associate(7, c,
+                is_indexed ? AssociationKind::kIndexed
+                           : AssociationKind::kAnnotated);
+    (is_indexed ? indexed : annotated).push_back(c);
+  }
+  t.Associate(7, 65, AssociationKind::kAnnotated);  // Duplicate: ignored.
+  EXPECT_EQ(t.ConceptsOf(7).size(), 150u);
+  EXPECT_EQ(t.ConceptsOf(7, AssociationKind::kAnnotated), annotated);
+  EXPECT_EQ(t.ConceptsOf(7, AssociationKind::kIndexed), indexed);
+  EXPECT_EQ(t.TotalPairs(), 150);
+}
+
 TEST(AssociationTableDeath, ConceptOutOfRangeAborts) {
   AssociationTable t(5);
   EXPECT_DEATH(t.Associate(0, 5, AssociationKind::kAnnotated),
