@@ -2,21 +2,19 @@
 #define BIONAV_ROUTER_NAV_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "router/hash_ring.h"
 #include "router/hot_keys.h"
+#include "server/connection_reactor.h"
 #include "server/protocol.h"
-#include "util/event_loop.h"
 
 namespace bionav {
 
@@ -131,8 +129,8 @@ struct NavRouterStats {
 
 /// The sharded serving tier's front door: a standalone proxy that fronts N
 /// bionav_serve backends behind one endpoint, speaking both wire encodings
-/// (line-delimited JSON v1 and length-prefixed binary v2, negotiated per
-/// downstream connection exactly as NavServer does).
+/// (line-delimited JSON v1 and length-prefixed binary v2). Downstream
+/// connections ride the ConnectionReactor NavServer uses.
 ///
 /// Placement: QUERY routes by NormalizeQueryKey(query) on a consistent-hash
 /// ring — every session of a given query lands on the same shard, so that
@@ -144,10 +142,10 @@ struct NavRouterStats {
 /// Forwarding: frames are relayed without re-encoding (the framing decoders
 /// give boundaries; only QUERY responses and errors are decoded, to learn
 /// pins). Each loop keeps a small pool of non-blocking upstream connections
-/// per (backend, encoding); responses complete FIFO per upstream and are
-/// released downstream in request arrival order through the same
-/// sequence-number reordering NavServer uses, so pipelined clients see
-/// in-order responses even when their requests fanned out across shards.
+/// per (backend, encoding); responses complete FIFO per upstream and the
+/// reactor releases them downstream in request arrival order, so pipelined
+/// clients see in-order responses even when their requests fanned out
+/// across shards.
 ///
 /// Failure model: a dead shard's slice answers typed RETRY_LATER (never a
 /// hang, never a transport error downstream); consecutive failures eject
@@ -170,7 +168,7 @@ class NavRouter {
   Status Start();
 
   /// Bound TCP port (valid after a successful Start).
-  int port() const { return port_; }
+  int port() const { return reactor_.port(); }
 
   /// Graceful shutdown; idempotent, also run by the destructor.
   void Shutdown();
@@ -188,38 +186,7 @@ class NavRouter {
   const HashRing& ring() const { return ring_; }
 
  private:
-  /// Downstream connection state — field-for-field the NavServer
-  /// Connection shape (loop-thread-only; see nav_server.h).
-  struct Conn {
-    explicit Conn(size_t max_frame_bytes)
-        : decoder(max_frame_bytes), bdecoder(max_frame_bytes) {}
-
-    uint64_t conn_id = 0;  // Upstream slot affinity.
-    int fd = -1;
-    size_t loop_index = 0;
-    WireProto proto = WireProto::kJson;
-    bool proto_decided = false;
-    bool preamble_error = false;
-    std::string preamble;
-    LineFrameDecoder decoder;
-    BinaryFrameDecoder bdecoder;
-    std::deque<WireFrame> write_queue;
-    size_t write_offset = 0;
-    size_t write_queue_bytes = 0;
-    uint64_t next_dispatch_seq = 0;
-    uint64_t next_release_seq = 0;
-    std::map<uint64_t, WireFrame> completed;
-    int inflight = 0;
-    bool reading = true;
-    bool want_write = false;
-    bool dispatching = false;
-    bool draining = false;
-    bool close_after_flush = false;
-    bool closed = false;
-    int64_t last_activity_ms = 0;
-    TimerId idle_timer = kInvalidTimer;
-  };
-  using ConnPtr = std::shared_ptr<Conn>;
+  using ConnPtr = ConnectionReactor::ConnPtr;
 
   /// One forwarded request awaiting its backend response (FIFO per
   /// upstream — the backend answers in arrival order).
@@ -311,29 +278,12 @@ class NavRouter {
     BackendScrape scrape;
   };
 
-  // --- Downstream path (mirrors NavServer; see nav_server.cc) ---
-  void IoThreadMain(size_t loop_index);
-  void OnAcceptable();
-  void AdmitConnection(int fd);
-  void OnConnectionEvent(const ConnPtr& conn, uint32_t events);
-  void ReadConnection(const ConnPtr& conn);
-  bool FeedConnection(const ConnPtr& conn, std::string_view data);
-  bool HasBufferedFrame(const ConnPtr& conn) const;
-  bool NextBufferedFrame(const ConnPtr& conn, std::string* payload);
-  bool DecoderBroken(const ConnPtr& conn) const;
-  void DispatchFrames(const ConnPtr& conn);
-  void CompleteRequest(const ConnPtr& conn, uint64_t seq, WireFrame response);
-  void FlushWrites(const ConnPtr& conn);
-  void UpdateInterest(const ConnPtr& conn);
-  void ArmIdleTimer(const ConnPtr& conn);
-  void CloseConnection(const ConnPtr& conn);
-  void DrainConnection(const ConnPtr& conn);
-
   // --- Routing ---
-  /// Parses one downstream frame and routes it: STATS/METRICS answer
-  /// locally, QUERY places by normalized query key, token ops follow
-  /// their pin. Completion is immediate for local answers and typed
-  /// errors; forwarded requests complete when the backend responds.
+  /// The reactor's frame handler. Parses one downstream frame and routes
+  /// it: STATS/METRICS answer locally, QUERY places by normalized query
+  /// key, token ops follow their pin. Completion is immediate for local
+  /// answers and typed errors; forwarded requests complete when the
+  /// backend responds.
   void RouteFrame(const ConnPtr& conn, uint64_t seq,
                   const std::string& payload);
   /// Ring walk for a new QUERY: first non-draining backend in preference
@@ -359,7 +309,6 @@ class NavRouter {
   /// (backend_index may be SIZE_MAX when no backend was choosable).
   void AnswerRetryLater(const ConnPtr& conn, uint64_t seq,
                         size_t backend_index, std::string_view message);
-  void CountRequest();
 
   // --- Upstream pool ---
   size_t UpstreamSlot(size_t backend_index, WireProto proto,
@@ -389,7 +338,9 @@ class NavRouter {
   void RunProbes();
   void StartProbe(size_t backend_index);
   void OnProbeEvent(const ProbePtr& probe, uint32_t events);
-  void FinishProbe(const ProbePtr& probe, bool success,
+  /// Takes the probe by value: it clears the probe's `probes_` slot, which
+  /// may be the very element a caller iterating `probes_` passed in.
+  void FinishProbe(ProbePtr probe, bool success,
                    const std::string& response_line);
   void RecordBackendFailure(size_t backend_index);
   void RecordBackendSuccess(size_t backend_index);
@@ -417,38 +368,19 @@ class NavRouter {
   std::unordered_map<std::string, size_t> backend_index_by_id_;
   HashRing ring_;  // Immutable after construction.
 
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::vector<std::thread> io_threads_;
-  std::vector<std::unordered_map<int, ConnPtr>> loop_conns_;
   /// Upstream pool per loop, indexed by UpstreamSlot (loop-thread-only).
   std::vector<std::vector<UpPtr>> loop_upstreams_;
   /// Active probe per backend (loop-0-only).
   std::vector<ProbePtr> probes_;
-  std::atomic<size_t> next_loop_{0};
-  std::atomic<uint64_t> next_conn_id_{0};
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> shutting_down_{false};
-  std::mutex shutdown_mu_;
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
+  std::mutex shutdown_mu_;  // Serializes Shutdown (idempotence).
 
   /// token → backend index. Learned from QUERY responses, dropped on
   /// CLOSE and UNKNOWN_SESSION. The only cross-loop mutable routing state.
   mutable std::mutex pins_mu_;
   std::unordered_map<std::string, size_t> pins_;
 
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_shed_{0};
-  std::atomic<int64_t> connections_open_{0};
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> protocol_errors_{0};
   std::atomic<int64_t> forwarded_{0};
   std::atomic<int64_t> retry_later_{0};
-  std::atomic<int64_t> bytes_rx_{0};
-  std::atomic<int64_t> bytes_tx_{0};
   /// Starts at 1 so a client's zero-initialized FleetTopology is always
   /// visibly stale.
   std::atomic<uint64_t> generation_{1};
@@ -457,6 +389,9 @@ class NavRouter {
   mutable HotKeyTracker hot_keys_;
   /// Round-robin cursor spreading a hot key across its replica set.
   mutable std::atomic<uint64_t> hot_rr_{0};
+  /// Downstream connections (the same layer NavServer uses). Declared
+  /// last: destroyed first, after Shutdown joined its loops.
+  ConnectionReactor reactor_;
 };
 
 }  // namespace bionav

@@ -2,20 +2,13 @@
 #define BIONAV_SERVER_NAV_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
 
+#include "server/connection_reactor.h"
 #include "server/protocol.h"
 #include "server/session_manager.h"
-#include "util/event_loop.h"
 #include "util/thread_pool.h"
 
 namespace bionav {
@@ -90,24 +83,13 @@ struct NavServerStats {
 /// serialization per (request shape, encoding), then writev of {owned
 /// header, shared body} for every later session.
 ///
-/// Threading: `io_threads` reactor threads (EventLoop each) own the
-/// non-blocking sockets. They accept, assemble frames incrementally from
-/// partial reads, and hand decoded request lines to the compute ThreadPool;
-/// finished responses marshal back to the owning loop, which writes them
-/// out through a per-connection bounded queue. A connection is a small
-/// state object pinned to one loop — all its state is loop-thread-only, so
-/// the hot path takes no locks.
-///
-/// Pipelining: a client may send many requests without waiting; they
-/// execute concurrently on the pool but responses are written in request
-/// arrival order (sequence numbers reorder completions). Requests that
-/// cannot stall the loop (parse errors, cache-hit QUERYs) execute inline
-/// on the reactor when the connection has no backlog, skipping the pool
+/// Connections are served by a ConnectionReactor (accept and admission,
+/// negotiation, pipelining in arrival order, backpressure, idle reaping and
+/// drain; see connection_reactor.h). Decoded frames run on the compute
+/// ThreadPool and complete back on their connection's loop. Requests that
+/// cannot stall the loop (parse errors, cache-hit QUERYs) execute inline on
+/// the reactor when the connection has no backlog, skipping the pool
 /// round-trip's two scheduler handoffs on the warm interactive path.
-///
-/// Backpressure: reading pauses per connection when its in-flight count or
-/// queued write bytes exceed their caps, and resumes as responses drain;
-/// admission is shed at the accept path past max_connections.
 ///
 /// Shutdown is graceful: the listener closes, already-decoded requests
 /// complete, frames buffered but not yet dispatched are answered
@@ -128,7 +110,7 @@ class NavServer {
   Status Start();
 
   /// Bound TCP port (valid after a successful Start).
-  int port() const { return port_; }
+  int port() const { return reactor_.port(); }
 
   /// Graceful shutdown; idempotent, also run by the destructor.
   void Shutdown();
@@ -147,87 +129,21 @@ class NavServer {
   SessionManager& session_manager() { return sessions_; }
 
  private:
-  /// Per-connection reactor state. Every field is touched only on the
-  /// owning loop's thread; pool completions re-enter via RunInLoop.
-  struct Connection {
-    explicit Connection(size_t max_frame_bytes)
-        : decoder(max_frame_bytes), bdecoder(max_frame_bytes) {}
+  using ConnPtr = ConnectionReactor::ConnPtr;
 
-    int fd = -1;
-    size_t loop_index = 0;
-    /// Wire encoding, decided by the connection's very first bytes: the
-    /// "BNV2" preamble selects binary; anything else (a JSON line always
-    /// starts with '{') keeps v1 JSON. Until decided, bytes accumulate in
-    /// `preamble` (at most 4) and neither decoder is fed.
-    WireProto proto = WireProto::kJson;
-    bool proto_decided = false;
-    /// First bytes were 'B'-led but not the preamble: answer BAD_REQUEST
-    /// (in JSON — the peer's encoding is unknowable) and close.
-    bool preamble_error = false;
-    std::string preamble;
-    LineFrameDecoder decoder;     // JSON framing.
-    BinaryFrameDecoder bdecoder;  // Binary framing.
-    /// Responses released in order, front may be partially written.
-    std::deque<WireFrame> write_queue;
-    size_t write_offset = 0;
-    size_t write_queue_bytes = 0;
-    /// Pipelining bookkeeping: requests are numbered on decode; responses
-    /// park in `completed` until every earlier one has been released.
-    uint64_t next_dispatch_seq = 0;
-    uint64_t next_release_seq = 0;
-    std::map<uint64_t, WireFrame> completed;
-    int inflight = 0;
-    bool reading = true;      // kReadable currently in the interest set.
-    bool want_write = false;  // kWritable currently in the interest set.
-    bool dispatching = false;  // DispatchFrames re-entrancy guard.
-    bool draining = false;    // No new dispatches (EOF, error, shutdown).
-    bool close_after_flush = false;
-    bool closed = false;
-    int64_t last_activity_ms = 0;
-    TimerId idle_timer = kInvalidTimer;
-  };
-  using ConnPtr = std::shared_ptr<Connection>;
-
-  void IoThreadMain(size_t loop_index);
   /// Arms (and re-arms) the periodic idle-spill sweep on loop 0. The sweep
   /// body runs on the compute pool — disk writes never block the reactor.
   void ArmSpillSweep();
-  void OnAcceptable();
-  void AdmitConnection(int fd);
-  void OnConnectionEvent(const ConnPtr& conn, uint32_t events);
-  void ReadConnection(const ConnPtr& conn);
-  /// Routes received bytes through protocol negotiation into the
-  /// connection's decoder. False once the stream is unrecoverable
-  /// (preamble error or a broken decoder latch).
-  bool FeedConnection(const ConnPtr& conn, std::string_view data);
-  /// Negotiation-aware views over the connection's active decoder.
-  bool HasBufferedFrame(const ConnPtr& conn) const;
-  bool NextBufferedFrame(const ConnPtr& conn, std::string* payload);
-  bool DecoderBroken(const ConnPtr& conn) const;
-  /// Decodes buffered frames and dispatches them to the pool (or answers
-  /// SHUTTING_DOWN when draining). Honors the pipelining cap.
-  void DispatchFrames(const ConnPtr& conn);
-  void DispatchRequest(const ConnPtr& conn, uint64_t seq,
-                       std::string payload);
+  /// The reactor's frame handler. With no pipeline backlog, a request that
+  /// cannot stall the loop (parse error, or a QUERY whose artifacts are
+  /// already cached) executes inline on the loop thread; everything else
+  /// goes to the pool and completes back on the connection's loop.
+  void OnFrame(const ConnPtr& conn, uint64_t seq, std::string& payload);
   /// True when a parsed request may execute inline on the reactor thread
   /// without risking a loop stall: a QUERY whose artifacts the cache
   /// already holds built. (Parse failures are always inline-safe — their
   /// reply is a constant error frame — and are handled before this check.)
   bool FastPathEligible(const RequestView& request) const;
-  /// Loop-thread: files a finished response under its sequence number and
-  /// releases every in-order response to the write queue.
-  void CompleteRequest(const ConnPtr& conn, uint64_t seq,
-                       WireFrame response);
-  /// Coalesces every ready response (owned heads and shared template
-  /// bodies alike) into one sendmsg before re-arming EPOLLOUT.
-  void FlushWrites(const ConnPtr& conn);
-  void UpdateInterest(const ConnPtr& conn);
-  /// (Re)arms the idle timer against last_activity_ms.
-  void ArmIdleTimer(const ConnPtr& conn);
-  void CloseConnection(const ConnPtr& conn);
-  /// Loop-thread: transitions a connection into drain (no more reads or
-  /// dispatches; buffered frames answered SHUTTING_DOWN; close on flush).
-  void DrainConnection(const ConnPtr& conn);
 
   /// Executes one request frame (parse + dispatch) in the connection's
   /// encoding, returns the finished response frame. Runs on a pool thread
@@ -238,7 +154,6 @@ class NavServer {
   WireFrame HandleRequest(const RequestView& request, WireProto proto);
   WireFrame HandleParseError(WireProto proto, WireError error,
                              const std::string& message);
-  void CountRequest();
 
   WireFrame HandleQuery(const RequestView& request, WireProto proto);
   WireFrame HandleExpand(const RequestView& request, WireProto proto);
@@ -260,36 +175,11 @@ class NavServer {
   NavServerOptions options_;
   SessionManager sessions_;
   ThreadPool pool_;
-
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::vector<std::thread> io_threads_;
-  /// Connections owned by each loop (loop-thread-only containers; indexed
-  /// by loop). Used by drain and the idle sweep.
-  std::vector<std::unordered_map<int, ConnPtr>> loop_conns_;
-  std::atomic<size_t> next_loop_{0};  // Round-robin connection placement.
-
-  std::atomic<bool> started_{false};
-  std::atomic<bool> shutting_down_{false};
   /// One idle-spill sweep at a time; a slow disk must not pile up sweeps.
   std::atomic<bool> spill_sweep_inflight_{false};
   std::mutex shutdown_mu_;  // Serializes Shutdown (idempotence).
-
-  /// Signaled by loops as connections close; Shutdown waits on it for the
-  /// bounded drain.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_shed_{0};
-  std::atomic<int64_t> connections_open_{0};
-  std::atomic<int64_t> connections_idle_closed_{0};
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> protocol_errors_{0};
-  std::atomic<int64_t> oversized_frames_{0};
-  std::atomic<int64_t> bytes_rx_{0};
-  std::atomic<int64_t> bytes_tx_{0};
+  /// Declared last: destroyed first, after Shutdown joined its loops.
+  ConnectionReactor reactor_;
 };
 
 }  // namespace bionav

@@ -7,16 +7,11 @@
 
 #include "obs/metrics.h"
 #include "persist/session_snapshot.h"
+#include "util/timer.h"
 
 namespace bionav {
 
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 int64_t WallUnixMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(

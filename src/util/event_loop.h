@@ -17,11 +17,12 @@ namespace bionav {
 using TimerId = uint64_t;
 inline constexpr TimerId kInvalidTimer = 0;
 
-/// A single-threaded epoll reactor: the I/O substrate of the event-driven
-/// NavServer (and of bench_serving's connection-sweep load generator). One
-/// thread calls Run() and owns every registered fd handler; other threads
-/// talk to the loop exclusively through RunInLoop()/Stop(), which enqueue
-/// work and wake the loop via an eventfd.
+/// A single-threaded epoll reactor: the I/O substrate of ConnectionReactor,
+/// which NavServer and NavRouter share (and of bench_serving's
+/// connection-sweep load generator). One thread calls Run() and owns every
+/// registered fd handler; other threads talk to the loop exclusively
+/// through RunInLoop()/Stop(), which enqueue work and wake the loop via an
+/// eventfd.
 ///
 /// Timers ride a hashed timing wheel (kWheelSlots slots of tick_ms each,
 /// entries carry a remaining-rounds count), so thousands of per-connection

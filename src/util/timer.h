@@ -6,6 +6,21 @@
 
 namespace bionav {
 
+/// Monotonic milliseconds since an arbitrary epoch (steady_clock): the
+/// shared clock of deadlines, TTLs and idle timers.
+inline int64_t SteadyNowMs() {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Monotonic microseconds on the same clock (latency stamps).
+inline int64_t SteadyNowUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Monotonic wall-clock stopwatch used by the benchmark harness to report
 /// per-EXPAND execution times (the paper's Figs 10 and 11).
 class Timer {
@@ -52,7 +67,9 @@ class TimingStats {
 
   int64_t count() const { return count_; }
   double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  double mean() const {
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  }
   double min() const { return count_ ? min_ : 0.0; }
   double max() const { return count_ ? max_ : 0.0; }
 

@@ -511,5 +511,48 @@ TEST(RouterE2E, AggregatedStatsAndMetricsAnswerLocally) {
   tier.server1->Shutdown();
 }
 
+TEST(RouterE2E, AdmissionControlShedsBeyondLimit) {
+  const Workload& w = SmallWorkload();
+  EUtilsClient eutils = w.corpus().MakeClient();
+  NavServer shard(&w.hierarchy(), &eutils, nullptr,
+                  ShardServerOptions("shard0"));
+  ASSERT_TRUE(shard.Start().ok());
+
+  NavRouterOptions options = FastRouterOptions();
+  options.max_connections = 1;  // Admission limit: one live connection.
+  NavRouter router(
+      std::vector<RouterBackend>{{"127.0.0.1", shard.port(), "shard0"}},
+      options);
+  ASSERT_TRUE(router.Start().ok());
+
+  auto first = NavClient::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first.ValueOrDie()->Stats().ok());
+
+  // The second connection must be shed with RETRY_LATER, and a client
+  // that has seen the reply must already see the shed in the stats.
+  auto second = NavClient::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(second.ok());
+  auto shed = second.ValueOrDie()->Stats();
+  ASSERT_FALSE(shed.ok());
+  EXPECT_TRUE(IsTypedRetryLater(shed.status())) << shed.status().ToString();
+  EXPECT_EQ(router.stats().connections_shed, 1);
+
+  // Dropping the first connection frees the slot; a retry succeeds.
+  first.ValueOrDie().reset();
+  bool admitted = false;
+  for (int attempt = 0; attempt < 100 && !admitted; ++attempt) {
+    auto retry = NavClient::Connect("127.0.0.1", router.port());
+    ASSERT_TRUE(retry.ok());
+    admitted = retry.ValueOrDie()->Stats().ok();
+    if (!admitted) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(admitted) << "slot never freed after disconnect";
+  router.Shutdown();
+  shard.Shutdown();
+}
+
 }  // namespace
 }  // namespace bionav

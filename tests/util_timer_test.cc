@@ -17,8 +17,9 @@ TEST(Timer, ElapsedIsMonotonic) {
 TEST(Timer, RestartResets) {
   Timer t;
   // Burn a little time so elapsed is very likely non-zero.
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  // 64-bit accumulator: the sum (~5e9) overflows int.
+  volatile int64_t sink = 0;
+  for (int64_t i = 0; i < 100000; ++i) sink = sink + i;
   int64_t before = t.ElapsedMicros();
   t.Restart();
   EXPECT_LE(t.ElapsedMicros(), before + 1000000);
