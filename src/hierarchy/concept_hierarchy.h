@@ -45,6 +45,14 @@ class ConceptHierarchy {
   /// return the lowest id carrying that label.
   ConceptId AddNode(ConceptId parent, std::string label);
 
+  /// Makes room for `nodes` nodes in total (root included), so adding up
+  /// to that many does not regrow the per-node tables.
+  void Reserve(size_t nodes) {
+    labels_.reserve(nodes);
+    parents_.reserve(nodes);
+    children_.reserve(nodes);
+  }
+
   /// Seals the tree: computes depth and pre/post order.
   void Freeze();
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "util/cdf_sampler.h"
 #include "util/rng.h"
 
 namespace bionav {
@@ -68,6 +69,7 @@ ConceptHierarchy GenerateMeshLikeHierarchy(
 
   Rng rng(options.seed);
   ConceptHierarchy h;
+  h.Reserve(static_cast<size_t>(options.target_nodes));
 
   // Depth-1 categories.
   std::vector<std::vector<ConceptId>> by_depth(
@@ -91,6 +93,9 @@ ConceptHierarchy GenerateMeshLikeHierarchy(
     parent_depth_weight[d] =
         d < std::size(base) ? base[d] : base[std::size(base) - 1] * 0.5;
   }
+  // Draws exactly what Rng::WeightedIndex draws over the same weights,
+  // without re-summing them for every node.
+  const CdfSampler parent_depth_sampler(std::move(parent_depth_weight));
 
   // Preferential-attachment pools: a node appears once when created and once
   // more per child it receives, so popular parents grow bushier (real MeSH
@@ -99,13 +104,10 @@ ConceptHierarchy GenerateMeshLikeHierarchy(
       static_cast<size_t>(options.max_depth) + 1);
   for (ConceptId id : by_depth[1]) pa_pool[1].push_back(id);
 
-  std::vector<int> depth_of(h.size(), 0);
-  for (ConceptId id : by_depth[1]) depth_of[static_cast<size_t>(id)] = 1;
-
   int serial = 0;
   while (static_cast<int>(h.size()) < options.target_nodes) {
     // Pick a parent depth, falling back to shallower populated depths.
-    size_t d = rng.WeightedIndex(parent_depth_weight);
+    size_t d = parent_depth_sampler.Sample(&rng);
     while (d >= 1 && by_depth[d].empty()) --d;
     if (d < 1) d = 1;
     BIONAV_CHECK(!by_depth[d].empty());
@@ -122,7 +124,6 @@ ConceptHierarchy GenerateMeshLikeHierarchy(
     by_depth[static_cast<size_t>(child_depth)].push_back(id);
     pa_pool[static_cast<size_t>(child_depth)].push_back(id);
     pa_pool[d].push_back(parent);
-    depth_of.push_back(child_depth);
   }
 
   h.Freeze();

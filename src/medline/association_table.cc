@@ -7,30 +7,48 @@ namespace bionav {
 AssociationTable::AssociationTable(size_t num_concepts)
     : global_counts_(num_concepts, 0) {}
 
-void AssociationTable::Associate(CitationId citation, ConceptId concept_id,
-                                 AssociationKind kind) {
+std::vector<ConceptId>& AssociationTable::ListOf(CitationId citation) {
   BIONAV_CHECK_GE(citation, 0);
-  BIONAV_CHECK_GE(concept_id, 0);
-  BIONAV_CHECK_LT(static_cast<size_t>(concept_id), global_counts_.size());
   const size_t c = static_cast<size_t>(citation);
   if (c >= concepts_.size()) {
     concepts_.resize(c + 1);
     indexed_bits_.resize(c + 1, 0);
   }
-  std::vector<ConceptId>& concepts = concepts_[c];
-  if (std::find(concepts.begin(), concepts.end(), concept_id) !=
-      concepts.end()) {
+  return concepts_[c];
+}
+
+void AssociationTable::AddPair(CitationId citation,
+                               std::vector<ConceptId>* concepts,
+                               ConceptId concept_id, AssociationKind kind) {
+  BIONAV_CHECK_GE(concept_id, 0);
+  BIONAV_CHECK_LT(static_cast<size_t>(concept_id), global_counts_.size());
+  if (std::find(concepts->begin(), concepts->end(), concept_id) !=
+      concepts->end()) {
     return;  // Duplicate pair: ignore.
   }
-  const size_t pair = concepts.size();
-  concepts.push_back(concept_id);
+  const size_t pair = concepts->size();
+  concepts->push_back(concept_id);
   if (pair >= kMaskedPairs) {
     overflow_kinds_[citation].push_back(kind);
   } else if (kind == AssociationKind::kIndexed) {
-    indexed_bits_[c] |= uint64_t{1} << pair;
+    indexed_bits_[static_cast<size_t>(citation)] |= uint64_t{1} << pair;
   }
   global_counts_[static_cast<size_t>(concept_id)]++;
   total_pairs_++;
+}
+
+void AssociationTable::Associate(CitationId citation, ConceptId concept_id,
+                                 AssociationKind kind) {
+  AddPair(citation, &ListOf(citation), concept_id, kind);
+}
+
+void AssociationTable::Associate(CitationId citation,
+                                 const std::vector<Pair>& pairs) {
+  std::vector<ConceptId>& concepts = ListOf(citation);
+  concepts.reserve(concepts.size() + pairs.size());
+  for (const auto& [concept_id, kind] : pairs) {
+    AddPair(citation, &concepts, concept_id, kind);
+  }
 }
 
 const std::vector<ConceptId>& AssociationTable::ConceptsOf(

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "hierarchy/concept_hierarchy.h"
@@ -35,11 +36,26 @@ class AssociationTable {
   AssociationTable(AssociationTable&&) = default;
   AssociationTable& operator=(AssociationTable&&) = default;
 
+  /// Makes room for citation ids below `citations` without regrowing the
+  /// per-citation tables as pairs arrive.
+  void Reserve(size_t citations) {
+    concepts_.reserve(citations);
+    indexed_bits_.reserve(citations);
+  }
+
   /// Records that `citation` is associated with `concept`. Duplicate pairs
   /// are ignored (a citation is associated with a concept at most once, as
   /// in the de-normalized BioNav table).
   void Associate(CitationId citation, ConceptId concept_id,
                  AssociationKind kind);
+
+  /// One (concept, kind) pair of a citation.
+  using Pair = std::pair<ConceptId, AssociationKind>;
+
+  /// Associates `pairs` in order, as one Associate call per pair would,
+  /// but grows the citation's list once rather than doubling it up from
+  /// one. For a citation whose pairs are all known together.
+  void Associate(CitationId citation, const std::vector<Pair>& pairs);
 
   /// Concepts associated with the citation (both kinds), in association
   /// order. Pure read, so a table no longer being written is safe to share
@@ -67,6 +83,15 @@ class AssociationTable {
   static constexpr size_t kMaskedPairs = 64;
 
   AssociationKind KindOf(size_t citation, size_t pair) const;
+
+  /// The citation's concept list, growing the per-citation tables to hold
+  /// it.
+  std::vector<ConceptId>& ListOf(CitationId citation);
+
+  /// Appends one pair to `concepts`, the citation's list, unless the
+  /// concept is on it already.
+  void AddPair(CitationId citation, std::vector<ConceptId>* concepts,
+               ConceptId concept_id, AssociationKind kind);
 
   // citation -> concepts in association order, grown on demand: the view
   // ConceptsOf serves.

@@ -65,7 +65,12 @@ Result<std::unique_ptr<BioNavDatabase>> BioNavDatabase::Build(
   std::unique_ptr<BioNavDatabase> db(new BioNavDatabase());
   db->hierarchy_ = std::move(hierarchy);
   db->associations_ = AssociationTable(db->hierarchy_.size());
+  // The records are already parsed, so their count is a real size, not an
+  // untrusted header field.
+  db->store_.Reserve(records.size());
+  db->associations_.Reserve(records.size());
 
+  std::vector<AssociationTable::Pair> pairs;  // One record's, reused.
   for (const CitationSourceRecord& record : records) {
     Citation citation;
     citation.pmid = record.pmid;
@@ -80,8 +85,8 @@ Result<std::unique_ptr<BioNavDatabase>> BioNavDatabase::Build(
     }
     CitationId id = db->store_.Add(std::move(citation));
 
-    auto associate = [&](const std::vector<std::string>& tns,
-                         AssociationKind kind) -> Status {
+    auto resolve = [&](const std::vector<std::string>& tns,
+                       AssociationKind kind) -> Status {
       for (const std::string& tn : tns) {
         ConceptId c = db->hierarchy_.FindByTreeNumber(tn);
         if (c == kInvalidConcept) {
@@ -89,14 +94,16 @@ Result<std::unique_ptr<BioNavDatabase>> BioNavDatabase::Build(
                                   "' for PMID " +
                                   std::to_string(record.pmid));
         }
-        db->associations_.Associate(id, c, kind);
+        pairs.emplace_back(c, kind);
       }
       return Status::OK();
     };
+    pairs.clear();
     BIONAV_RETURN_IF_ERROR(
-        associate(record.annotated_tree_numbers, AssociationKind::kAnnotated));
+        resolve(record.annotated_tree_numbers, AssociationKind::kAnnotated));
     BIONAV_RETURN_IF_ERROR(
-        associate(record.indexed_tree_numbers, AssociationKind::kIndexed));
+        resolve(record.indexed_tree_numbers, AssociationKind::kIndexed));
+    db->associations_.Associate(id, pairs);
   }
   db->index_ = std::make_unique<InvertedIndex>(db->store_);
   return db;

@@ -38,6 +38,13 @@ class CitationStore {
   /// Adds a citation and returns its dense id. PMIDs must be unique.
   CitationId Add(Citation citation);
 
+  /// Makes room for `citations` citations in total, so adding up to that
+  /// many neither reallocates the records nor rehashes the PMID map.
+  void Reserve(size_t citations) {
+    citations_.reserve(citations);
+    by_pmid_.reserve(citations);
+  }
+
   size_t size() const { return citations_.size(); }
 
   const Citation& Get(CitationId id) const {

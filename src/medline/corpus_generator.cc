@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "util/cdf_sampler.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -11,53 +12,26 @@ namespace bionav {
 
 namespace {
 
-/// O(log n) categorical sampler over fixed weights (CDF + binary search).
-/// Rng::Zipf is O(n) per draw, which is too slow for the millions of
-/// annotation draws the corpus needs.
-class CdfSampler {
- public:
-  explicit CdfSampler(std::vector<double> weights) : cdf_(std::move(weights)) {
-    BIONAV_CHECK(!cdf_.empty());
-    double acc = 0;
-    for (double& w : cdf_) {
-      BIONAV_CHECK_GE(w, 0.0);
-      acc += w;
-      w = acc;
-    }
-    BIONAV_CHECK_GT(acc, 0.0);
-    total_ = acc;
-  }
-
-  size_t Sample(Rng* rng) const {
-    double r = rng->UniformDouble() * total_;
-    auto it = std::upper_bound(cdf_.begin(), cdf_.end(), r);
-    if (it == cdf_.end()) --it;
-    return static_cast<size_t>(it - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-  double total_;
-};
-
 int ClampedGaussianCount(Rng* rng, double mean, double lo, double hi) {
   double v = rng->Gaussian(mean, mean / 2.5);
   v = std::max(lo, std::min(hi, v));
   return static_cast<int>(std::lround(v));
 }
 
-/// Annotates `citation` with `concept_id` and probabilistically with its
-/// ancestors (excluding the root), reproducing correlated multi-level
-/// annotations — the source of the duplicates the EdgeCut cost model must
-/// reason about.
-void AnnotateWithWalkUp(const ConceptHierarchy& h, AssociationTable* assoc,
-                        CitationId citation, ConceptId concept_id,
-                        AssociationKind kind, double walk_prob, Rng* rng) {
-  assoc->Associate(citation, concept_id, kind);
+/// Stages `concept_id` and, probabilistically, its ancestors (excluding the
+/// root) as annotations of one citation, reproducing correlated
+/// multi-level annotations — the source of the duplicates the EdgeCut cost
+/// model must reason about. The caller hands a citation's staged pairs to
+/// the association table in one call.
+void AnnotateWithWalkUp(const ConceptHierarchy& h,
+                        std::vector<AssociationTable::Pair>* staged,
+                        ConceptId concept_id, AssociationKind kind,
+                        double walk_prob, Rng* rng) {
+  staged->emplace_back(concept_id, kind);
   ConceptId u = h.parent(concept_id);
   while (u != kInvalidConcept && u != ConceptHierarchy::kRoot &&
          rng->Bernoulli(walk_prob)) {
-    assoc->Associate(citation, u, kind);
+    staged->emplace_back(u, kind);
     u = h.parent(u);
   }
 }
@@ -104,11 +78,12 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
 
   // --- Filler vocabulary, disjoint from query-keyword tokens by
   // construction ("bgterm####" never collides with biomedical keywords).
+  std::vector<std::vector<std::string>> spec_tokens;
   std::unordered_set<std::string> reserved_tokens;
   for (const QuerySpec& spec : specs) {
-    for (const std::string& tok : TokenizeTerms(spec.keyword)) {
-      reserved_tokens.insert(tok);
-    }
+    spec_tokens.push_back(TokenizeTerms(spec.keyword));
+    reserved_tokens.insert(spec_tokens.back().begin(),
+                           spec_tokens.back().end());
   }
   constexpr int kFillerVocab = 2000;
   std::vector<int32_t> filler_ids(kFillerVocab);
@@ -124,17 +99,35 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
   }
   CdfSampler filler_sampler(std::move(filler_weights));
 
+  // Every citation count is fixed by the specs and options, so the store
+  // and the association table are sized once, exactly.
+  size_t n_citations = static_cast<size_t>(options.background_citations);
+  for (const QuerySpec& spec : specs) {
+    n_citations += static_cast<size_t>(
+        spec.result_size +
+        static_cast<int>(spec.field_background_factor * spec.result_size) +
+        spec.target_global_extra);
+  }
+  corpus.store.Reserve(n_citations);
+  corpus.associations.Reserve(n_citations);
+
+  // The pairs of the citation being generated, handed to the table at once.
+  std::vector<AssociationTable::Pair> staged;
+  auto associate_staged = [&](CitationId citation) {
+    corpus.associations.Associate(citation, staged);
+    staged.clear();
+  };
+
   uint64_t next_pmid = 10000000;
   auto add_citation = [&](std::string title,
-                          const std::vector<std::string>& keyword_tokens,
+                          const std::vector<int32_t>& keyword_ids,
                           int n_filler) {
     Citation c;
     c.pmid = next_pmid++;
     c.title = std::move(title);
     c.year = static_cast<int>(1990 + rng.Uniform(19));
-    for (const std::string& tok : keyword_tokens) {
-      c.term_ids.push_back(corpus.store.InternTerm(tok));
-    }
+    c.term_ids.reserve(keyword_ids.size() + static_cast<size_t>(n_filler));
+    c.term_ids.assign(keyword_ids.begin(), keyword_ids.end());
     for (int i = 0; i < n_filler; ++i) {
       c.term_ids.push_back(filler_ids[filler_sampler.Sample(&rng)]);
     }
@@ -150,7 +143,8 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
       nodes_by_depth[static_cast<size_t>(hierarchy.depth(id))].push_back(id);
     }
   });
-  for (const QuerySpec& spec : specs) {
+  for (size_t q = 0; q < specs.size(); ++q) {
+    const QuerySpec& spec = specs[q];
     GeneratedQuery gq;
     gq.spec = spec;
 
@@ -221,12 +215,15 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
     {
       size_t pool_target = static_cast<size_t>(
           std::max(8.0, spec.pool_size_factor * spec.result_size));
-      std::unordered_set<ConceptId> seen;
+      std::vector<bool> seen(n_concepts, false);
       int tries = 0;
       while (pool.size() < pool_target &&
              tries++ < static_cast<int>(pool_target) * 20) {
         ConceptId c = sample_global_concept();
-        if (seen.insert(c).second) pool.push_back(c);
+        if (!seen[static_cast<size_t>(c)]) {
+          seen[static_cast<size_t>(c)] = true;
+          pool.push_back(c);
+        }
       }
     }
     std::vector<double> pool_w(pool.size());
@@ -235,13 +232,20 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
     }
     CdfSampler pool_sampler(std::move(pool_w));
 
-    std::vector<std::string> keyword_tokens = TokenizeTerms(spec.keyword);
+    // Interned once, where the query's first result citation would intern
+    // them: the term dictionary assigns the same ids.
+    std::vector<int32_t> keyword_ids;
+    if (spec.result_size > 0) {
+      for (const std::string& tok : spec_tokens[q]) {
+        keyword_ids.push_back(corpus.store.InternTerm(tok));
+      }
+    }
     for (int i = 0; i < spec.result_size; ++i) {
       size_t ti = theme_sampler.Sample(&rng);
       CitationId cit = add_citation(
           spec.name + " study of " +
               hierarchy.label(theme_nodes[ti][theme_samplers[ti]->Sample(&rng)]),
-          keyword_tokens, ClampedGaussianCount(&rng, 4, 2, 8));
+          keyword_ids, ClampedGaussianCount(&rng, 4, 2, 8));
 
       int nf = ClampedGaussianCount(&rng, spec.focus_annotations_mean, 1,
                                     spec.focus_annotations_mean * 2.5);
@@ -249,22 +253,21 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
         // Mostly the citation's main theme, sometimes a secondary one.
         size_t th = rng.Bernoulli(0.75) ? ti : theme_sampler.Sample(&rng);
         ConceptId c = theme_nodes[th][theme_samplers[th]->Sample(&rng)];
-        AnnotateWithWalkUp(hierarchy, &corpus.associations, cit, c,
-                           AssociationKind::kAnnotated,
+        AnnotateWithWalkUp(hierarchy, &staged, c, AssociationKind::kAnnotated,
                            options.ancestor_walk_prob, &rng);
       }
       if (rng.Bernoulli(spec.target_attach_prob)) {
-        AnnotateWithWalkUp(hierarchy, &corpus.associations, cit, gq.target,
+        AnnotateWithWalkUp(hierarchy, &staged, gq.target,
                            AssociationKind::kAnnotated,
                            options.ancestor_walk_prob, &rng);
       }
       int nr = ClampedGaussianCount(&rng, spec.random_annotations_mean, 0,
                                     spec.random_annotations_mean * 3);
       for (int r = 0; r < nr && !pool.empty(); ++r) {
-        AnnotateWithWalkUp(hierarchy, &corpus.associations, cit,
-                           pool[pool_sampler.Sample(&rng)],
+        AnnotateWithWalkUp(hierarchy, &staged, pool[pool_sampler.Sample(&rng)],
                            AssociationKind::kIndexed, 0.25, &rng);
       }
+      associate_staged(cit);
       gq.result.push_back(cit);
     }
 
@@ -281,10 +284,10 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
       int nf = ClampedGaussianCount(&rng, 3, 1, 6);
       for (int f = 0; f < nf; ++f) {
         ConceptId c = theme_nodes[ti][theme_samplers[ti]->Sample(&rng)];
-        AnnotateWithWalkUp(hierarchy, &corpus.associations, cit, c,
-                           AssociationKind::kIndexed,
+        AnnotateWithWalkUp(hierarchy, &staged, c, AssociationKind::kIndexed,
                            options.ancestor_walk_prob, &rng);
       }
+      associate_staged(cit);
     }
 
     // The experiment's oracle navigation requires the target to appear in
@@ -310,12 +313,12 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
       CitationId cit = add_citation("background on " +
                                         hierarchy.label(gq.target),
                                     {}, ClampedGaussianCount(&rng, 4, 2, 8));
-      AnnotateWithWalkUp(hierarchy, &corpus.associations, cit, gq.target,
+      AnnotateWithWalkUp(hierarchy, &staged, gq.target,
                          AssociationKind::kIndexed, 0.4, &rng);
       for (int r = 0; r < 4; ++r) {
-        corpus.associations.Associate(cit, sample_global_concept(),
-                                      AssociationKind::kIndexed);
+        staged.emplace_back(sample_global_concept(), AssociationKind::kIndexed);
       }
+      associate_staged(cit);
     }
 
     corpus.queries.push_back(std::move(gq));
@@ -323,23 +326,26 @@ std::unique_ptr<SyntheticCorpus> GenerateCorpus(
 
   // --- Background corpus (the rest of MEDLINE).
   for (int b = 0; b < options.background_citations; ++b) {
-    std::vector<std::string> tokens;
+    std::vector<int32_t> token_ids;
     // Occasionally reuse a single token of a multi-token keyword so the
     // index's AND semantics is exercised without polluting any result set.
     if (rng.Bernoulli(0.05) && !specs.empty()) {
-      const QuerySpec& s = specs[rng.Uniform(specs.size())];
-      std::vector<std::string> ks = TokenizeTerms(s.keyword);
-      if (ks.size() >= 2) tokens.push_back(ks[rng.Uniform(ks.size())]);
+      const std::vector<std::string>& ks =
+          spec_tokens[rng.Uniform(specs.size())];
+      if (ks.size() >= 2) {
+        token_ids.push_back(
+            corpus.store.InternTerm(ks[rng.Uniform(ks.size())]));
+      }
     }
-    CitationId cit = add_citation("background citation", tokens,
+    CitationId cit = add_citation("background citation", token_ids,
                                   ClampedGaussianCount(&rng, 5, 3, 9));
     int na = ClampedGaussianCount(&rng, options.background_annotations_mean, 2,
                                   options.background_annotations_mean * 3);
     for (int a = 0; a < na; ++a) {
-      AnnotateWithWalkUp(hierarchy, &corpus.associations, cit,
-                         sample_global_concept(), AssociationKind::kIndexed,
-                         0.35, &rng);
+      AnnotateWithWalkUp(hierarchy, &staged, sample_global_concept(),
+                         AssociationKind::kIndexed, 0.35, &rng);
     }
+    associate_staged(cit);
   }
 
   corpus.index = std::make_unique<InvertedIndex>(corpus.store);

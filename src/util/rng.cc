@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,43 +20,10 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : state_) s = SplitMix64(&sm);
 }
 
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::Uniform(uint64_t bound) {
-  BIONAV_CHECK_GT(bound, 0u);
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -bound % bound;
-  while (true) {
-    uint64_t r = Next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   BIONAV_CHECK_LE(lo, hi);
   return lo + static_cast<int64_t>(
                   Uniform(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-double Rng::UniformDouble() {
-  // 53 random mantissa bits.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {

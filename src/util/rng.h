@@ -13,24 +13,52 @@ namespace bionav {
 /// this class so that workloads, tests and benchmarks are reproducible
 /// across platforms and standard-library versions (std::mt19937 streams are
 /// stable, but distributions are not).
+///
+/// The draws generation makes millions of times per workload (Next,
+/// Uniform, UniformDouble, Bernoulli) are defined here so they inline.
 class Rng {
  public:
   explicit Rng(uint64_t seed);
 
   /// Returns the next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Returns a uniform integer in [0, bound). Requires bound > 0.
-  uint64_t Uniform(uint64_t bound);
+  uint64_t Uniform(uint64_t bound) {
+    BIONAV_CHECK_GT(bound, 0u);
+    // Rejection sampling to avoid modulo bias.
+    const uint64_t threshold = -bound % bound;
+    while (true) {
+      uint64_t r = Next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Returns a uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Returns a uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    // 53 random mantissa bits.
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns true with probability p (clamped to [0,1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Requires at least one strictly positive weight.
@@ -56,6 +84,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
 };
 

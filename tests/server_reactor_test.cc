@@ -13,8 +13,10 @@
 
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -167,12 +169,13 @@ JsonValue MustParse(const std::string& line) {
   return parsed.ok() ? parsed.ValueOrDie() : JsonValue();
 }
 
-std::unique_ptr<NavServer> StartServer(NavServerOptions options) {
+std::unique_ptr<NavServer> StartServer(NavServerOptions options,
+                                       StrategyFactory factory = nullptr) {
   const Workload& w = SmallWorkload();
   static const EUtilsClient* eutils =
       new EUtilsClient(SmallWorkload().corpus().MakeClient());
-  auto server =
-      std::make_unique<NavServer>(&w.hierarchy(), eutils, nullptr, options);
+  auto server = std::make_unique<NavServer>(&w.hierarchy(), eutils,
+                                            std::move(factory), options);
   EXPECT_TRUE(server->Start().ok());
   EXPECT_GT(server->port(), 0);
   return server;
@@ -358,6 +361,57 @@ TEST(NavServerReactor, ManyConcurrentConnectionsOnFewIoThreads) {
   EXPECT_EQ(server->stats().connections_open, 0);
 }
 
+/// A strategy factory that holds its first call (the first QUERY's session)
+/// until Release(): a request that stays in flight for as long as a test
+/// needs, however fast the machine builds trees.
+class HeldFirstQuery {
+ public:
+  StrategyFactory Factory() {
+    return [this, bionav = MakeBioNavStrategyFactory()](
+               const CostModel* cost_model) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (calls_++ == 0) {
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+      lock.unlock();
+      return bionav(cost_model);
+    };
+  }
+
+  void AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return calls_ > 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int calls_ = 0;
+  bool released_ = false;
+};
+
+/// Polls until `done` holds. After 10 s it records a failure and returns,
+/// so the caller still releases whatever it holds.
+template <typename Pred>
+void WaitUntil(Pred done, const char* what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << what;
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(NavServerReactor, ShutdownAnswersQueuedPipelinedRequests) {
   NavServerOptions options;
   options.threads = 1;
@@ -365,14 +419,15 @@ TEST(NavServerReactor, ShutdownAnswersQueuedPipelinedRequests) {
   // No artifact cache: every QUERY is a pool-bound tree build, so none
   // take the reactor's inline fast path and the tail stays queued.
   options.session.cache_enabled = false;
-  auto server = StartServer(options);
+  HeldFirstQuery held;
+  auto server = StartServer(options, held.Factory());
   RawConn conn(server->port());
   ASSERT_TRUE(conn.ok());
 
   // 24 pipelined QUERYs land in the decoder; the inflight cap of one means
-  // at most one is computing (a cold tree build, several ms) when Shutdown
-  // drains. Every queued request must still receive a definite response —
-  // SHUTTING_DOWN, not silence — before the connection closes.
+  // only the head is computing, held in the strategy factory, when
+  // Shutdown drains. Every queued request must still receive a definite
+  // response — SHUTTING_DOWN, not silence — before the connection closes.
   const int kRequests = 24;
   Request query;
   query.op = RequestOp::kQuery;
@@ -382,15 +437,25 @@ TEST(NavServerReactor, ShutdownAnswersQueuedPipelinedRequests) {
     burst += SerializeRequest(query) + "\n";
   }
   ASSERT_TRUE(conn.SendAll(burst));
-  // The first response proves the whole single-segment burst is decoded
-  // (the reactor drained the socket long before request 0 finished
-  // computing); only then is Shutdown racing against queued work.
+  // The head is held mid-QUERY; once the reactor has read the whole burst,
+  // the other 23 wait in its buffer behind the inflight cap.
+  held.AwaitHeld();
+  WaitUntil([&] { return server->stats().bytes_rx ==
+                         static_cast<int64_t>(burst.size()); },
+            "the reactor never read the whole burst");
+  // Shutdown waits for the held head, so it runs on its own thread. Its
+  // drain answers every queued request, and each answer counts as a
+  // request: the count reaching kRequests means the drain has run.
+  std::thread shutdown([&] { server->Shutdown(); });
+  WaitUntil([&] { return server->stats().requests == kRequests; },
+            "the drain never answered the queued requests");
+  held.Release();
+
   std::string first;
   ASSERT_TRUE(conn.ReadLine(&first));
   ASSERT_TRUE(MustParse(first).BoolOr("ok", false)) << first;
-  server->Shutdown();
-
   std::vector<std::string> lines = conn.ReadLinesUntilEof();
+  shutdown.join();
   lines.insert(lines.begin(), first);
   ASSERT_EQ(lines.size(), static_cast<size_t>(kRequests))
       << "pipelined requests dropped without a response";
@@ -405,7 +470,7 @@ TEST(NavServerReactor, ShutdownAnswersQueuedPipelinedRequests) {
     }
   }
   EXPECT_EQ(completed + refused, kRequests);
-  // The drain hit while the cold QUERY computed, so the undispatched tail
+  // The drain hit while the held QUERY computed, so the undispatched tail
   // was refused; the in-flight head completed normally.
   EXPECT_GE(refused, 1) << "drain never saw a queued request";
 }
